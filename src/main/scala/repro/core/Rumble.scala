@@ -31,26 +31,8 @@ final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
   def run(query: String): List[Item] = runIterator(query).toList
 
   /** Evaluate for the number of result items without materializing them on
-    * the driver — a `count` action when the result is an RDD, or a direct
-    * DataFrame count when the FLWOR's return is provably one item/tuple. */
-  def runCount(query: String): Long = {
-    val it  = compile(query)
-    val ctx = rootCtx
-    it match {
-      case f: repro.core.runtime.flwor.FlworIterator =>
-        f.tryCountPushdown(ctx).foreach(n => return n)
-      case f: repro.core.runtime.flwor.SimpleFlworRddIterator =>
-        f.tryCountPushdown(ctx).foreach(n => return n)
-      case _ =>
-    }
-    if (it.isRDD(ctx)) it.getRDD(ctx).count()
-    else {
-      var n = 0L
-      val local = it.localIterator(ctx)
-      while (local.hasNext) { local.next(); n += 1 }
-      n
-    }
-  }
+    * the driver (see `RuntimeIterator.count`). */
+  def runCount(query: String): Long = compile(query).count(rootCtx)
 
   /** The result as an RDD of items; local results are parallelized. */
   def runToRdd(query: String): RDD[Item] = {

@@ -13,7 +13,6 @@ import repro.core.model._
   *                            past this many items — models the 16 GB laptop
   *                            OOMs of the paper's single-threaded baselines
   * @param engineName          name used in heap-model errors / warnings
-  * @param defaultParallelism  partitions for json-file when not specified
   * @param eagerInput          parse the *whole* input file into memory before
   *                            evaluation starts (models Xidel's DOM-style
   *                            loading; counts against the heap model)
@@ -26,7 +25,6 @@ final case class RumbleConf(
     materializationCap: Long = 10_000_000L,
     heapModelCap: Option[Long] = None,
     engineName: String = "rumble",
-    defaultParallelism: Option[Int] = None,
     eagerInput: Boolean = false,
     perItemOverhead: Int = 0,
 ) extends Serializable

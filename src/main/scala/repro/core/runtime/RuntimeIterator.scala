@@ -7,18 +7,17 @@ import repro.core.model._
   *
   * Two execution APIs, between which consumers switch seamlessly:
   *
-  *  - '''local pull API''' (§5.5): `open(ctx)` / `hasNext` / `next()` /
-  *    `reset(ctx)` / `close()`. If the iterator is RDD-capable in the given
-  *    context, opening it locally transparently *materializes* the RDD
-  *    (streamed via `toLocalIterator`, warning past the configured cap).
+  *  - '''local API''' (§5.5): `localIterator(ctx)`. If the iterator is
+  *    RDD-capable in the given context, iterating it locally transparently
+  *    *materializes* the RDD (streamed via `toLocalIterator`, warning past
+  *    the configured cap).
   *  - '''RDD API''' (§5.6): `isRDD(ctx)` / `getRDD(ctx)` return the sequence
   *    of items as an `RDD[Item]` built by applying Spark transformations to
   *    the children's RDDs. Never available inside Spark closures
   *    (`ctx.insideClosure`), since Spark jobs do not nest.
   *
-  * Subclasses implement `compute` (local semantics as a lazy iterator — the
-  * pull API is layered on top, keeping streaming behaviour) and optionally
-  * the RDD API.
+  * Subclasses implement `compute` (local semantics as a lazy iterator) and
+  * optionally the RDD API and a cheaper `count`.
   */
 abstract class RuntimeIterator extends Serializable {
 
@@ -32,15 +31,13 @@ abstract class RuntimeIterator extends Serializable {
   def getRDD(ctx: DynamicContext): RDD[Item] =
     throw new RumbleException("RBML0001", s"${getClass.getSimpleName} has no RDD API")
 
-  // ------------------------------------------------------ local pull API
-
-  @transient private var current: Iterator[Item] = _
-
-  def open(ctx: DynamicContext): Unit  = { current = localIterator(ctx) }
-  def hasNext: Boolean                 = current.hasNext
-  def next(): Item                     = current.next()
-  def reset(ctx: DynamicContext): Unit = open(ctx)
-  def close(): Unit                    = { current = null }
+  /** Number of result items without materializing them on the driver: a
+    * Spark `count` action when RDD-backed, a local drain otherwise. The
+    * single entry point of the count pushdown: FLWOR iterators override it
+    * to count without evaluating their return expression. */
+  def count(ctx: DynamicContext): Long =
+    if (isRDD(ctx)) getRDD(ctx).count()
+    else compute(ctx).foldLeft(0L)((n, _) => n + 1)
 
   /** Local iterator over the result, collecting from the RDD if this
     * expression is Spark-backed (the §5.5 seamless switch). */

@@ -152,22 +152,16 @@ final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator)
   * value — "designed such that Spark SQL, only looking at these columns,
   * groups the rows the way required". */
 object KeyEncoder {
-  def encodeGroup(seq: List[Item]): (Int, String, Double) = {
-    val rank = Item.groupTypeRank(seq)
-    seq match {
-      case List(s) if s.isString  => (rank, s.stringValue, 0.0)
-      case List(n) if n.isNumeric => (rank, "", n.numericDouble)
-      case _                      => (rank, "", 0.0)
-    }
-  }
+  def encodeGroup(seq: List[Item]): (Int, String, Double) =
+    encode(Item.groupTypeRank(seq), seq)
 
-  def encodeOrder(seq: List[Item], emptyGreatest: Boolean): (Int, String, Double) = {
-    val rank = Item.orderTypeRank(seq, emptyGreatest)
-    seq match {
-      case List(s) if s.isString  => (rank, s.stringValue, 0.0)
-      case List(n) if n.isNumeric => (rank, "", n.numericDouble)
-      case _                      => (rank, "", 0.0)
-    }
+  def encodeOrder(seq: List[Item], emptyGreatest: Boolean): (Int, String, Double) =
+    encode(Item.orderTypeRank(seq, emptyGreatest), seq)
+
+  private def encode(rank: Int, seq: List[Item]): (Int, String, Double) = seq match {
+    case List(s) if s.isString  => (rank, s.stringValue, 0.0)
+    case List(n) if n.isNumeric => (rank, "", n.numericDouble)
+    case _                      => (rank, "", 0.0)
   }
 
   /** §4.8's first pass: all non-empty/non-null keys of one sort spec must
@@ -393,26 +387,30 @@ final class SimpleFlworRddIterator(
     singletonReturn: Boolean,
 ) extends RuntimeIterator {
 
-  /** Count as a filter+count on the source RDD when possible. */
-  def tryCountPushdown(ctx: DynamicContext): Option[Long] =
-    if (isRDD(ctx)) Some(countRdd(ctx, singletonReturn)) else None
-
   override def isRDD(ctx: DynamicContext): Boolean = source.isRDD(ctx)
+
+  /** The source items that pass every `where`, on the executors. */
+  private def matching(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
+    val v    = varName
+    val ws   = wheres
+    val base = ctx.enterClosure
+    source.getRDD(ctx).filter { item =>
+      val c = base.bind(v, item :: Nil)
+      ws.forall(_.effectiveBoolean(c))
+    }
+  }
 
   override def getRDD(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
     val v    = varName
-    val ws   = wheres
     val re   = retExpr
     val base = ctx.enterClosure
-    source.getRDD(ctx).mapPartitions { items =>
-      items
-        .filter { item =>
-          val c = base.bind(v, item :: Nil)
-          ws.forall(_.effectiveBoolean(c))
-        }
-        .flatMap(item => re.localIterator(base.bind(v, item :: Nil)))
-    }
+    matching(ctx).flatMap(item => re.localIterator(base.bind(v, item :: Nil)))
   }
+
+  /** Count the matching source items without evaluating the return
+    * expression when it provably yields one item per input. */
+  override def count(ctx: DynamicContext): Long =
+    if (singletonReturn && isRDD(ctx)) matching(ctx).count() else super.count(ctx)
 
   protected def compute(ctx: DynamicContext): Iterator[Item] =
     source.localIterator(ctx)
@@ -421,19 +419,6 @@ final class SimpleFlworRddIterator(
         wheres.forall(_.effectiveBoolean(c))
       }
       .flatMap(item => retExpr.localIterator(ctx.bind(varName, item :: Nil)))
-
-  /** Count without evaluating the return expression when it provably
-    * yields one item per input (see FlworIterator). */
-  def countRdd(ctx: DynamicContext, singletonReturn: Boolean): Long = {
-    val v    = varName
-    val ws   = wheres
-    val base = ctx.enterClosure
-    if (!singletonReturn) getRDD(ctx).count()
-    else source.getRDD(ctx).filter { item =>
-      val c = base.bind(v, item :: Nil)
-      ws.forall(_.effectiveBoolean(c))
-    }.count()
-  }
 }
 
 /** The whole FLWOR expression (clause chain + `return`, paper §4.10): an
@@ -443,8 +428,8 @@ final class SimpleFlworRddIterator(
   *
   * @param singletonReturn the translator proved the return expression
   *        yields exactly one item per tuple (a for-bound variable, an
-  *        object/array constructor, a literal); a consuming `count()` can
-  *        then run as a DataFrame count without materializing any item —
+  *        object/array constructor, a literal); `count` can then run as
+  *        a DataFrame count without materializing any item —
   *        the same aggregation-detection family as the paper's §4.7
   *        COUNT pushdown.
   */
@@ -453,8 +438,8 @@ final class FlworIterator(last: ClauseIterator, retExpr: RuntimeIterator,
     extends RuntimeIterator {
 
   /** Count the FLWOR's results as a DataFrame count when provably equal. */
-  def tryCountPushdown(ctx: DynamicContext): Option[Long] =
-    if (singletonReturn && isRDD(ctx)) Some(last.getDataFrame(ctx).count()) else None
+  override def count(ctx: DynamicContext): Long =
+    if (singletonReturn && isRDD(ctx)) last.getDataFrame(ctx).count() else super.count(ctx)
 
   override def isRDD(ctx: DynamicContext): Boolean =
     !ctx.insideClosure && last.isDataFrame(ctx)

@@ -85,13 +85,7 @@ object Translator {
     case PredicateExpr(t, p) =>
       new PredicateIterator(translateExpr(t, sc), translateExpr(p, sc.withContextItem))
 
-    case FunctionCallExpr(name, args) =>
-      val compiled = args.map(translateExpr(_, sc))
-      name match {
-        case "json-file"   => new JsonFileIterator(compiled.head, compiled.drop(1).headOption)
-        case "parallelize" => new ParallelizeIterator(compiled.head, compiled.drop(1).headOption)
-        case _             => new FunctionIterator(name, compiled)
-      }
+    case FunctionCallExpr(name, args) => Builtins.resolve(name, args.map(translateExpr(_, sc)))
 
     case FlworExpr(clauses, ret) => translateFlwor(clauses, ret, sc)
   }

@@ -48,7 +48,9 @@ class RddExecutionSpec extends RumbleSpec {
 
   test("count/sum/avg/min/max as Spark actions") {
     assert(evalSpark("count(parallelize(1 to 1000))") == "1000")
-    assert(evalSpark("sum(parallelize(1 to 100))") == "5050.0")
+    assert(evalSpark("sum(parallelize(1 to 100))") == "5050")
+    assert(evalSpark("sum(parallelize((9007199254740993, 1)))") == "9007199254740994")
+    assert(evalSpark("sum(parallelize(()))") == "0")
     assert(evalSpark("avg(parallelize(1 to 100))") == "50.5")
     assert(evalSpark("min(parallelize((5, 3, 9)))") == "3")
     assert(evalSpark("max(parallelize((5, 3, 9)))") == "9")
@@ -64,6 +66,38 @@ class RddExecutionSpec extends RumbleSpec {
     assert(rumble.run("distinct-values(parallelize((1, 2, 1, 3, 2)))")
       .toSet == Set(IntItem(1), IntItem(2), IntItem(3)))
   }
+
+  test("distinct-values rejects objects and arrays on both paths (XPTY0004)") {
+    // on RDDs the error is raised inside the Spark task and surfaces
+    // wrapped in the job-failure exception
+    def codes(t: Throwable): List[String] = t match {
+      case null               => Nil
+      case r: RumbleException => r.code :: codes(r.getCause)
+      case other              => codes(other.getCause)
+    }
+    Seq("(1, {\"a\": 1})", "(1, [1])").foreach { in =>
+      expectError(s"distinct-values($in)", "XPTY0004")(rumbleLocal.run)
+      val e = intercept[Exception](rumble.run(s"distinct-values(parallelize($in))"))
+      assert(codes(e).contains("XPTY0004"), in)
+    }
+  }
+
+  // The local fold and the Spark action of each aggregate must give the
+  // same items. distinct-values keeps no input order on the RDD path, so
+  // its results are compared as sets.
+  private val aggregateInputs = Seq(
+    "()", "1 to 100", "(1, 2.5e0, 3)", "(1, 2.5, 3)", "(9007199254740993, 1)",
+    "(3, 1, 3, 2.5e0, 1)")
+
+  for (f <- Seq("count", "sum", "avg", "min", "max", "empty", "exists", "distinct-values"))
+    test(s"$f gives the same items locally and on RDDs") {
+      aggregateInputs.foreach { in =>
+        val local = rumbleLocal.run(s"$f($in)")
+        val rdd   = rumble.run(s"$f(parallelize($in))")
+        if (f == "distinct-values") assert(rdd.toSet == local.toSet, in)
+        else assert(rdd == local, in)
+      }
+    }
 
   test("chained navigation stays on the RDD without materializing") {
     val q = "parallelize(({\"a\": [1, 2]}, {\"a\": [3]}, {\"b\": [9]})).a[]"

@@ -63,20 +63,6 @@ class RumbleApiSpec extends RumbleSpec {
     assert(it.materialize(ctx) == List(IntItem(2)))
   }
 
-  test("pull API contract: open/hasNext/next/reset/close (§5.5)") {
-    val it  = rumbleLocal.compile("(10, 20)")
-    val ctx = repro.core.runtime.DynamicContext.root(
-      repro.core.runtime.RumbleConf(forceLocal = true))
-    it.open(ctx)
-    assert(it.hasNext)
-    assert(it.next() == IntItem(10))
-    assert(it.next() == IntItem(20))
-    assert(!it.hasNext)
-    it.reset(ctx)
-    assert(it.next() == IntItem(10))
-    it.close()
-  }
-
   test("materialization cap warns but does not fail (§5.5)") {
     val r = new Rumble(spark, repro.core.runtime.RumbleConf(materializationCap = 10))
     assert(r.run("parallelize(1 to 100)").size == 100)
