@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkException
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
@@ -20,22 +21,40 @@ final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
 
   private def rootCtx: DynamicContext = DynamicContext.root(conf)
 
+  /** Runs `body`, rethrowing a JSONiq error raised inside a Spark task as
+    * itself rather than as the `SparkException` that reports the failed
+    * job, so a query fails with the same error code on every path. */
+  private def unwrapped[A](body: => A): A =
+    try body
+    catch {
+      case e: SparkException =>
+        throw Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+          .collectFirst { case r: RumbleException => r }
+          .getOrElse(e)
+    }
+
   /** Parse + static-check + translate a query to its root runtime iterator. */
   def compile(query: String): RuntimeIterator = Translator.translate(Parser.parse(query))
 
   /** Evaluate and stream the result items (RDDs are collected through the
     * local API with the configured materialization cap, §5.5). */
-  def runIterator(query: String): Iterator[Item] = compile(query).localIterator(rootCtx)
+  def runIterator(query: String): Iterator[Item] = {
+    val it = unwrapped(compile(query).localIterator(rootCtx))
+    new Iterator[Item] {
+      def hasNext: Boolean = unwrapped(it.hasNext)
+      def next(): Item     = unwrapped(it.next())
+    }
+  }
 
   /** Evaluate and materialize the full result. */
   def run(query: String): List[Item] = runIterator(query).toList
 
   /** Evaluate for the number of result items without materializing them on
     * the driver (see `RuntimeIterator.count`). */
-  def runCount(query: String): Long = compile(query).count(rootCtx)
+  def runCount(query: String): Long = unwrapped(compile(query).count(rootCtx))
 
   /** The result as an RDD of items; local results are parallelized. */
-  def runToRdd(query: String): RDD[Item] = {
+  def runToRdd(query: String): RDD[Item] = unwrapped {
     val it  = compile(query)
     val ctx = rootCtx
     if (it.isRDD(ctx)) it.getRDD(ctx)
@@ -45,7 +64,7 @@ final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
   /** Write the result back as a JSON-Lines directory (parallel when the
     * result is an RDD, §5.4: "Rumble can directly write the results back"). */
   def writeJsonLines(query: String, path: String): Unit =
-    runToRdd(query).map(JsonWriter.write).saveAsTextFile(path)
+    unwrapped(runToRdd(query).map(JsonWriter.write).saveAsTextFile(path))
 
   /** Materialize a (small) result of *object* items as a typed DataFrame —
     * used to compare query results against the DuckDB oracle. Columns are

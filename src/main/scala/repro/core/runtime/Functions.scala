@@ -206,12 +206,16 @@ object Builtins {
     },
 
     // ----------------------------------------------------------- sequences
-    "head" -> unary((a, c) => a.localIterator(c).take(1)),
+    "head" -> unary((a, c) => a.localPrefix(c, 1)),
     "tail" -> unary((a, c) => a.localIterator(c).drop(1)),
     "subsequence" -> fn(2, 3) { (a, c) =>
       val start = a(1).materializeAtMostOne(c).map(_.numericDouble.toLong).getOrElse(1L)
-      val rest  = a(0).localIterator(c).drop(math.max(0L, start - 1).toInt)
-      a.lift(2).flatMap(intArg(_, c)).fold(rest)(rest.take)
+      val skip  = math.max(0L, start - 1).toInt
+      a.lift(2).flatMap(intArg(_, c)) match {
+        case Some(len) =>
+          a(0).localPrefix(c, math.min(Int.MaxValue, skip.toLong + len).toInt).drop(skip)
+        case None => a(0).localIterator(c).drop(skip)
+      }
     },
 
     // ------------------------------------------------------------- objects

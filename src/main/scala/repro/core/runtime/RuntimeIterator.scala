@@ -9,8 +9,10 @@ import repro.core.model._
   *
   *  - '''local API''' (§5.5): `localIterator(ctx)`. If the iterator is
   *    RDD-capable in the given context, iterating it locally transparently
-  *    *materializes* the RDD (streamed via `toLocalIterator`, warning past
-  *    the configured cap).
+  *    *materializes* the RDD on the driver with one Spark job over all
+  *    partitions (see [[RddUtils]]), warning past the configured cap.
+  *    Readers of a prefix (`localPrefix`) fetch only as many partitions as
+  *    they need.
   *  - '''RDD API''' (§5.6): `isRDD(ctx)` / `getRDD(ctx)` return the sequence
   *    of items as an `RDD[Item]` built by applying Spark transformations to
   *    the children's RDDs. Never available inside Spark closures
@@ -45,50 +47,55 @@ abstract class RuntimeIterator extends Serializable {
     if (isRDD(ctx)) RddUtils.collectWithCap(getRDD(ctx), ctx.conf)
     else compute(ctx)
 
+  /** At most the first `n` items of the result. When RDD-backed this is a
+    * Spark `take`, which scans partitions only until it has `n` items, so
+    * a reader of a prefix does not pay for a full scan. */
+  final def localPrefix(ctx: DynamicContext, n: Int): Iterator[Item] =
+    if (isRDD(ctx)) RddUtils.takeWithCap(getRDD(ctx), n, ctx.conf)
+    else compute(ctx).take(n)
+
   /** Fully materialized result (used for singleton/small sequences). */
   final def materialize(ctx: DynamicContext): List[Item] = localIterator(ctx).toList
 
   /** Materialize expecting zero-or-one item (value-comparison operands,
     * sort keys, lookup indices, ...). */
-  final def materializeAtMostOne(ctx: DynamicContext): Option[Item] = {
-    val it = localIterator(ctx)
-    if (!it.hasNext) None
-    else {
-      val first = it.next()
-      if (it.hasNext)
-        throw new RumbleException("XPTY0004", "expected a singleton sequence")
-      Some(first)
+  final def materializeAtMostOne(ctx: DynamicContext): Option[Item] =
+    localPrefix(ctx, 2).toList match {
+      case Nil          => None
+      case List(single) => Some(single)
+      case _ => throw new RumbleException("XPTY0004", "expected a singleton sequence")
     }
-  }
 
   /** Effective boolean value of this expression's result. */
-  final def effectiveBoolean(ctx: DynamicContext): Boolean = {
-    val it = localIterator(ctx)
-    if (!it.hasNext) false
-    else {
-      val first = it.next()
-      if (!it.hasNext) first.effectiveBoolean
-      else if (first.isObject || first.isArray) true
-      else throw new RumbleException("FORG0006", "EBV undefined for this sequence")
+  final def effectiveBoolean(ctx: DynamicContext): Boolean =
+    localPrefix(ctx, 2).toList match {
+      case Nil          => false
+      case List(single) => single.effectiveBoolean
+      case first :: _ if first.isObject || first.isArray => true
+      case _ => throw new RumbleException("FORG0006", "EBV undefined for this sequence")
     }
-  }
 }
 
+/** Driver-bound reads of an RDD (paper §5.5). `collect` is one Spark job
+  * whose tasks read all partitions in parallel; the items come back in
+  * partition order. `take` scans one partition first and more only while
+  * it has too few items. A result larger than Spark's
+  * `spark.driver.maxResultSize` fails the job. */
 object RddUtils {
-  /** Stream an RDD's items to the driver, warning once past the cap
-    * (paper §5.5: "a warning is issued if the RDD has more items"). */
-  def collectWithCap(rdd: RDD[Item], conf: RumbleConf): Iterator[Item] = {
-    var count  = 0L
-    var warned = false
-    rdd.toLocalIterator.map { item =>
-      count += 1
-      if (count > conf.materializationCap && !warned) {
-        warned = true
-        Console.err.println(
-          s"[${conf.engineName}] warning: materializing more than " +
-          s"${conf.materializationCap} items through the local API")
-      }
-      item
-    }
+  /** All of an RDD's items, in order, with one warning when there are
+    * more than the cap ("a warning is issued if the RDD has more items"). */
+  def collectWithCap(rdd: RDD[Item], conf: RumbleConf): Iterator[Item] =
+    capped(rdd.collect(), conf)
+
+  /** At most the first `n` of an RDD's items, warning past the cap. */
+  def takeWithCap(rdd: RDD[Item], n: Int, conf: RumbleConf): Iterator[Item] =
+    capped(rdd.take(n), conf)
+
+  private def capped(items: Array[Item], conf: RumbleConf): Iterator[Item] = {
+    if (items.length > conf.materializationCap)
+      Console.err.println(
+        s"[${conf.engineName}] warning: materializing more than " +
+        s"${conf.materializationCap} items through the local API")
+    items.iterator
   }
 }

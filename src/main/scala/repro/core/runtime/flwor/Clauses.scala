@@ -5,12 +5,13 @@ import org.apache.spark.sql.functions.{array, col, collect_list, collect_set, ex
 import org.apache.spark.sql.types.{BinaryType, StructField, StructType}
 import repro.core.model._
 import repro.core.runtime._
-import scala.jdk.CollectionConverters._
 
 /** Base of all FLWOR clause runtime iterators (paper §4.2–4.10, §5.8).
   *
   * A clause consumes the tuple stream of its parent clause and produces its
-  * own. Two execution paths, switched seamlessly:
+  * own. Two execution paths, chosen per chain: every clause is
+  * DataFrame-backed exactly when its parent is, down to the first `for`
+  * over an RDD, so a clause on the local path always has a local parent.
   *
   *  - '''local''' (`tupleIterator`): pull-based stream of [[FlworTuple]]s;
   *  - '''DataFrame''' (`isDataFrame`/`getDataFrame`): the tuple stream as a
@@ -28,18 +29,6 @@ abstract class ClauseIterator extends Serializable {
   /** Project to exactly the out-schema columns, in schema order. */
   protected final def normalized(df: DataFrame): DataFrame =
     df.select(outSchema.cols.map(col): _*)
-
-  /** Local fallback: consume the parent as tuples even if it is DF-backed
-    * (used when a later clause cannot run on DataFrames). */
-  protected final def parentTuples(p: ClauseIterator, ctx: DynamicContext): Iterator[FlworTuple] =
-    if (p.isDataFrame(ctx)) {
-      val schema = p.outSchema
-      p.getDataFrame(ctx).toLocalIterator().asScala.map { row =>
-        FlworTuple(schema.entries.indices.map { i =>
-          schema.entries(i)._1 -> ItemSerde.deserializeSeq(row.getAs[Array[Byte]](i))
-        }.toMap)
-      }
-    } else p.tupleIterator(ctx)
 }
 
 /** `for $v in expr` (paper §4.4). As the *initial* clause over an
@@ -80,7 +69,7 @@ final class ForClauseIterator(
     case None =>
       expr.localIterator(ctx).map(item => FlworTuple(Map(varName -> List(item))))
     case Some(p) =>
-      parentTuples(p, ctx).flatMap { t =>
+      p.tupleIterator(ctx).flatMap { t =>
         expr.localIterator(ctx.bindAll(t.bindings)).map(i => t.updated(varName, List(i)))
       }
   }
@@ -117,7 +106,7 @@ final class LetClauseIterator(
     case None =>
       Iterator.single(FlworTuple(Map(varName -> expr.materialize(ctx))))
     case Some(p) =>
-      parentTuples(p, ctx).map { t =>
+      p.tupleIterator(ctx).map { t =>
         t.updated(varName, expr.materialize(ctx.bindAll(t.bindings)))
       }
   }
@@ -144,7 +133,7 @@ final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator)
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
-    parentTuples(input, ctx).filter(t => expr.effectiveBoolean(ctx.bindAll(t.bindings)))
+    input.tupleIterator(ctx).filter(t => expr.effectiveBoolean(ctx.bindAll(t.bindings)))
 }
 
 /** Encodes a grouping/sorting key sequence into the paper's three native
@@ -243,7 +232,7 @@ final class GroupByClauseIterator(
       .empty[Vector[(Int, String, Double)],
              (FlworTuple, Array[scala.collection.mutable.ListBuffer[Item]], Array[Long])]
     var n = 0L
-    parentTuples(input, ctx).foreach { t =>
+    input.tupleIterator(ctx).foreach { t =>
       n += 1
       HeapModel.check(ctx, n)
       val key = keys.map(k => KeyEncoder.encodeGroup(t.bindings.getOrElse(k, Nil))).toVector
@@ -313,7 +302,7 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec])
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
     val buf = scala.collection.mutable.ArrayBuffer.empty[(FlworTuple, Array[(Int, String, Double)])]
-    parentTuples(input, ctx).foreach { t =>
+    input.tupleIterator(ctx).foreach { t =>
       HeapModel.check(ctx, buf.size + 1L)
       val keys = specs.map { spec =>
         KeyEncoder.encodeOrder(spec.expr.materialize(ctx.bindAll(t.bindings)), spec.emptyGreatest)
@@ -366,7 +355,7 @@ final class CountClauseIterator(
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
-    parentTuples(input, ctx).zipWithIndex.map { case (t, i) =>
+    input.tupleIterator(ctx).zipWithIndex.map { case (t, i) =>
       t.updated(varName, List(IntItem(i + 1L)))
     }
 }

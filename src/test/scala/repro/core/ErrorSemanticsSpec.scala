@@ -1,8 +1,5 @@
 package repro.core
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.core.model.{RumbleException, StaticException}
 
 /** Error semantics: static errors raised before execution, dynamic errors
@@ -30,36 +27,14 @@ class ErrorSemanticsSpec extends RumbleSpec {
     assert(e.code == "XPST0017")
   }
 
-  /** Spark jobs started while `body` runs. A fence job run afterwards makes
-    * sure the listener has seen every earlier job start. */
-  private def jobsDuring(body: => Unit): Int = {
-    val sc      = spark.sparkContext
-    val started = new AtomicInteger
-    val fence   = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty("spark.job.description") == "fence"))
-          fence.countDown()
-        else started.incrementAndGet()
-    }
-    sc.addSparkListener(listener)
-    try {
-      body
-      sc.setJobDescription("fence")
-      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
-      assert(fence.await(60, TimeUnit.SECONDS))
-      started.get
-    } finally sc.removeSparkListener(listener)
-  }
-
   Seq("if (true) then 1 else foo()", "count(1, 2)", "json-file()", "subsequence(1)",
       "substring(\"a\")").foreach { q =>
     test(s"$q fails to compile with XPST0017 before any Spark job") {
-      val jobs = jobsDuring {
+      val work = sparkWork {
         val e = intercept[StaticException](rumble.compile(q))
         assert(e.code == "XPST0017", e.getMessage)
       }
-      assert(jobs == 0)
+      assert(work.jobs == 0)
     }
   }
 

@@ -46,6 +46,37 @@ class RddExecutionSpec extends RumbleSpec {
     assert(messages(e).exists(m => m != null && m.contains("RBML0002")))
   }
 
+  test("a JSONiq error inside a Spark task reaches the caller unwrapped") {
+    val q = "parallelize(1 to 10)[3]"
+    assert(intercept[RumbleException](rumble.run(q)).code == "RBML0002")
+    assert(intercept[RumbleException](rumble.runIterator(q)).code == "RBML0002")
+    assert(intercept[RumbleException](rumble.runCount(q)).code == "RBML0002")
+    val out = java.nio.file.Files.createTempDirectory("rdd-unwrap").resolve("out").toString
+    assert(intercept[RumbleException](rumble.writeJsonLines(q, out)).code == "RBML0002")
+  }
+
+  test("the local API reads an RDD in one Spark job, in order (§5.5)") {
+    var items = List.empty[Item]
+    val work  = sparkWork { items = rumble.run("parallelize(1 to 1000, 8)") }
+    assert(items == (1 to 1000).map(i => IntItem(i)).toList)
+    assert(work.jobs == 1)
+  }
+
+  test("prefix readers of an RDD scan only the partitions they need") {
+    val in = "parallelize(1 to 1000, 8)"
+    Seq(s"head($in)" -> "1", s"subsequence($in, 2, 3)" -> "2, 3, 4").foreach {
+      case (q, expected) =>
+        var result = ""
+        val work   = sparkWork { result = evalSpark(q) }
+        assert(result == expected, q)
+        assert(work.tasks < 8, q)
+    }
+    // the EBV and singleton checks fail after the first two items
+    Seq(s"boolean($in)" -> "FORG0006", s"$in eq 1" -> "XPTY0004").foreach {
+      case (q, code) => assert(sparkWork(expectError(q, code)(rumble.run)).tasks < 8, q)
+    }
+  }
+
   test("count/sum/avg/min/max as Spark actions") {
     assert(evalSpark("count(parallelize(1 to 1000))") == "1000")
     assert(evalSpark("sum(parallelize(1 to 100))") == "5050")

@@ -64,8 +64,11 @@ class RumbleApiSpec extends RumbleSpec {
   }
 
   test("materialization cap warns but does not fail (§5.5)") {
-    val r = new Rumble(spark, repro.core.runtime.RumbleConf(materializationCap = 10))
-    assert(r.run("parallelize(1 to 100)").size == 100)
+    val r   = new Rumble(spark, repro.core.runtime.RumbleConf(materializationCap = 10))
+    val err = new java.io.ByteArrayOutputStream
+    val items = Console.withErr(err)(r.run("parallelize(1 to 100)"))
+    assert(items == (1 to 100).map(i => IntItem(i)).toList)
+    assert(err.toString.split("\n").count(_.contains("warning: materializing more than 10")) == 1)
   }
 
   test("engine name and heap model flow through the conf") {
